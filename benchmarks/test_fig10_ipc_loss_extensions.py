@@ -18,6 +18,8 @@ def test_figure10_ipc_loss_extensions(benchmark, runner):
     # inter-procedural refinement helps further (or at least does not hurt).
     assert extension["SPECINT"] <= noop_avg + 0.5
     assert improved["SPECINT"] <= extension["SPECINT"] + 0.5
-    # vortex is the showcase: its loss drops sharply once hints ride on tags.
-    assert extension["vortex"] <= figure.series["extension"].get("vortex", 0) + 1e9
+    # vortex is the showcase: its loss drops sharply once hints ride on
+    # tags — at least halved against NOOP's vortex loss.
+    noop_vortex = runner.metrics("vortex", "noop").ipc_loss_pct
+    assert extension["vortex"] <= 0.5 * noop_vortex
     assert improved["vortex"] <= noop_avg + 2.0

@@ -1,16 +1,6 @@
-"""The columnar cross-over study: kernel throughput vs machine width.
+"""The cross-over study: kernel throughput vs machine width.
 
-PR 5's honestly-recorded finding was that the columnar (numpy
-structured-array) kernel *loses* to the consumer-list scalar kernel at
-table-1 machine sizes: with an 80-entry issue queue and at most 8
-wakeups per cycle, the fixed per-cycle cost of the batched CAM pass
-(one vectorised compare over the whole tag vector per broadcast)
-outweighs what it saves over walking short per-producer consumer
-lists.  The columnar design only pays off when each broadcast has
-*many* potential consumers — i.e. on wider machines than the paper's.
-
-This bench runs that experiment instead of leaving it folklore: the
-same 12k-instruction gzip replay is timed warm (decoded trace
+The same 12k-instruction gzip replay is timed warm (decoded trace
 memoised, replay loop only) on every available kernel across a ladder
 of machine widths, from the paper's table 1 up to a 512-entry-IQ,
 32-wide-issue configuration.  Each (config, kernel) pair appends a
@@ -19,23 +9,17 @@ of machine widths, from the paper's table 1 up to a 512-entry-IQ,
 (``python -m repro.telemetry.trend``) — and the test prints the
 per-config winner table that ``docs/engines.md`` reproduces.
 
-Measured on the 1-core dev container (full table in docs/engines.md):
-**there is no cross-over** on this ladder — the columnar/scalar ratio
-*worsens* as the machine widens (0.67x at table 1, 0.46x at 256/16,
-0.40x at 512/32).  The batched CAM pass is O(queue capacity) per
-broadcast whether or not the entries are occupied, while the scalar
-consumer-list walk is O(actual consumers); gzip's real ILP cannot fill
-a 512-entry window, so widening the queue inflates columnar's fixed
-cost without giving it more consumers to amortise over.  Columnar's
-hypothesised win needs *occupancy*, not capacity — a finding that
-closes the PR 5 ROADMAP question in the negative for this workload
-suite.  The compiled native kernel wins every config by ~30-60x.  The
-assertions below are deliberately *not* "columnar must win somewhere":
-the recorded numbers are the deliverable, and the only hard gates are
-that every kernel still replays the wide configs bit-identically
-(checked cheaply here via total cycle counts; the full statistics
-matrix lives in ``tests/test_engines.py``) and that no series
-regresses its own trajectory.
+The study was built to test a numpy ``columnar`` kernel whose batched
+CAM pass was hypothesised to win on wide machines.  It found no
+cross-over: columnar/scalar was 0.67x at table 1, 0.46x at 256/16 and
+0.40x at 512/32, because the batched pass is O(queue capacity) per
+broadcast while the scalar consumer-list walk is O(actual consumers).
+The columnar kernel was removed on that evidence.  The compiled native
+kernel wins every config by ~30-60x.  The only hard gates are that
+every kernel replays the wide configs bit-identically (checked cheaply
+here via total cycle counts; the full statistics matrix lives in
+``tests/test_engines.py``) and that no series regresses its own
+trajectory.
 """
 
 from __future__ import annotations
@@ -50,7 +34,7 @@ from repro.techniques import BaselinePolicy
 from repro.telemetry import trend
 from repro.uarch import simulate
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.engine import native_available, numpy_available
+from repro.uarch.engine import native_available
 from repro.workloads import build_benchmark
 
 from test_perf_simulator import TRAJECTORY_FILE, _record_trajectory
@@ -59,7 +43,6 @@ MAX_INSTRUCTIONS = 12_000
 
 ENGINES = (
     ("scalar",)
-    + (("columnar",) if numpy_available() else ())
     + (("native",) if native_available() else ())
 )
 
@@ -184,12 +167,6 @@ def test_kernel_crossover(config_name):
         f"\n  [{config_name}] iq={config.iq_entries} width="
         f"{config.issue_width}: {summary} -> winner {winner}"
     )
-    if "columnar" in rates:
-        ratio = rates["columnar"] / rates["scalar"]
-        print(
-            f"  [{config_name}] columnar/scalar = {ratio:.2f}x "
-            f"({'columnar' if ratio > 1.0 else 'scalar'} ahead)"
-        )
 
     # Perf-trajectory gate: each (config, kernel) series must sit in
     # the noise band of its own history (too-short histories pass).

@@ -2,19 +2,17 @@
 
 This file enables the legacy `pip install -e .` code path on environments
 whose setuptools cannot build PEP 660 editable wheels, declares the
-optional extras of the columnar and native replay engines, and lists the
+optional extra of the native replay engine, and lists the
 package tree (``repro`` is a namespace package, so discovery must be
 explicit) including the :mod:`repro.analysis` static checker and its
 ``repro-lint`` console entry point.
 
-numpy is deliberately an *extra*, not a hard requirement: the scalar
-engine (and therefore the whole tier-1 suite) runs on a bare Python
-toolchain, and hosts without numpy get a clear
-``ColumnarUnavailableError`` naming this extra only when the columnar
-kernel is actually selected (see ``repro.uarch.engine.columnar``) —
-never an ``ImportError`` at callsite depth.  That contract is itself
+The package has no third-party runtime dependency: the scalar engine
+(and therefore the whole tier-1 suite) runs on a bare Python toolchain,
+and the native engine needs only a host C toolchain.  That contract is
 statically enforced by reprolint's ``optional-deps`` rule
-(``python -m repro.analysis``).
+(``python -m repro.analysis``), under which no module may import numpy
+unguarded.
 """
 from setuptools import find_namespace_packages, setup
 
@@ -34,10 +32,6 @@ setup(
         ],
     },
     extras_require={
-        # The columnar replay kernel (engine="columnar",
-        # REPRO_REPLAY_KERNEL=columnar) lowers trace windows into numpy
-        # structured arrays; everything else runs without it.
-        "columnar": ["numpy>=1.22"],
         # The native replay kernel (engine="native",
         # REPRO_REPLAY_KERNEL=native) compiles its per-cycle loop as a C
         # extension, lazily, on first use.  Its dependency is a host
@@ -45,8 +39,8 @@ setup(
         # headers), not a Python package, so the extra is an empty
         # marker: installing it documents intent, and hosts without the
         # toolchain get a NativeUnavailableError naming this extra only
-        # when the native kernel is actually selected (see
-        # ``repro.uarch.engine.native``).
+        # when the native kernel is explicitly selected; unselected, they
+        # fall back to scalar (see ``repro.uarch.engine.native``).
         "native": [],
     },
 )

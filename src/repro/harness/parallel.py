@@ -69,10 +69,11 @@ Semantics:
   default) pitches in on unclaimed jobs itself so a queue with no
   external workers still drains.  Results are bit-identical between
   backends for any worker count.
-* **Replay engines** — ``engine="scalar"|"columnar"`` selects the
+* **Replay engines** — ``engine="scalar"|"native"`` selects the
   replay kernel (:mod:`repro.uarch.engine`) every job runs under; None
-  (the default) lets each executing host resolve its own
-  ``REPRO_REPLAY_KERNEL``.  Statistics are bit-identical between
+  (the default) lets each executing host resolve its own:
+  ``REPRO_REPLAY_KERNEL``, else native where it builds, else scalar.
+  Statistics are bit-identical between
   kernels, so the engine is transport like the worker count: it never
   participates in cache fingerprints, results cached under one kernel
   are hits under any other, and queue completion markers stay

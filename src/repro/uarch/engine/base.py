@@ -7,8 +7,8 @@ and produces :class:`~repro.uarch.stats.SimulationStats`.  The contract
 deliberately separates *what* a cycle does (the machine semantics, fixed
 by the paper's table 1 and section 3) from *how* a kernel executes it, so
 the execution harness — the process pool, the distributed work queue, the
-window-shard stitcher — can fan work out to whichever kernel is fastest
-on each host without any caller noticing.
+window-shard stitcher — can fan work out to whichever kernel each host
+selects without any caller noticing.
 
 Two invariants every engine must uphold:
 
@@ -22,8 +22,10 @@ Two invariants every engine must uphold:
   (:func:`repro.harness.cache.simulation_fingerprint`).  An engine is
   transport, like the trace window size or the worker count.
 
-Selection: :func:`get_engine` resolves an explicit name, else the
-``REPRO_REPLAY_KERNEL`` environment variable, else ``"scalar"``.
+Selection (:func:`resolve_engine_name`): an explicit name, else the
+``REPRO_REPLAY_KERNEL`` environment variable, else ``"native"`` when its
+compiled module loads on this host, else ``"scalar"``.  Native beats
+scalar wherever it builds, so there is nothing to measure per host.
 """
 
 from __future__ import annotations
@@ -36,21 +38,6 @@ from repro.uarch.stats import SimulationStats
 
 #: Environment variable supplying the default kernel name.
 ENGINE_ENV_VAR = "REPRO_REPLAY_KERNEL"
-
-#: The kernel used when neither an argument nor the environment chooses.
-DEFAULT_ENGINE = "scalar"
-
-
-class EngineUnavailableError(RuntimeError):
-    """A registered kernel was selected but cannot run on this host.
-
-    Every optional kernel raises its own named subclass
-    (``ColumnarUnavailableError`` when numpy is missing,
-    ``NativeUnavailableError`` when the C toolchain is) so callsites can
-    be specific, while fleet plumbing that degrades gracefully — the
-    telemetry probes, the worker calibration pass — catches this base
-    class once instead of enumerating kernels.
-    """
 
 
 class ReplayEngine(abc.ABC):
@@ -70,9 +57,8 @@ class ReplayEngine(abc.ABC):
 
         Registration is unconditional (the registry answers "what kernels
         exist", not "what runs here"); optional kernels override this so
-        callers — the pytest ``--engine`` plumbing, the telemetry probes —
-        can skip or degrade *before* :meth:`build_core` raises the
-        kernel's named ``*UnavailableError``.
+        callers — the pytest ``--engine`` plumbing — can skip *before*
+        :meth:`build_core` raises the kernel's named ``*UnavailableError``.
         """
         return None
 
@@ -149,20 +135,36 @@ def available_engines() -> tuple[str, ...]:
 
 
 def resolve_engine_name(name: Optional[str] = None) -> str:
-    """The effective kernel name: argument, else env, else the default.
+    """The effective kernel name.
+
+    An explicit ``name`` wins, else ``REPRO_REPLAY_KERNEL``, else
+    ``"native"`` when its module loads on this host, else ``"scalar"``.
+    The default path never raises on a missing or broken toolchain.
 
     Raises ``ValueError`` for a name that is not registered, naming the
     choices — a typo in ``REPRO_REPLAY_KERNEL`` should fail loudly at
     selection time, not deep inside a worker.
     """
     if name is None:
-        name = os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
+        name = os.environ.get(ENGINE_ENV_VAR) or _default_engine_name()
     if name not in _ENGINE_CLASSES:
         raise ValueError(
             f"unknown replay engine {name!r}; available: "
             + ", ".join(available_engines())
         )
     return name
+
+
+def _default_engine_name() -> str:
+    """``"native"`` when its compiled module loads here, else ``"scalar"``."""
+    # Function-local: the native module imports this one to register.
+    from repro.uarch.engine.native import NativeUnavailableError, load_native_module
+
+    try:
+        load_native_module()
+    except NativeUnavailableError:
+        return "scalar"
+    return "native"
 
 
 def get_engine(name: Optional[str] = None) -> ReplayEngine:

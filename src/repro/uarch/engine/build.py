@@ -12,9 +12,10 @@ source file and a module name it answers two questions —
 * :meth:`ExtensionCompiler.load` — compile (once) and import the module.
 
 The compile is **lazy and cached**: artefacts land in a directory keyed
-by a digest of the C source, the interpreter version and the compiler,
-so editing the kernel source or switching interpreters rebuilds while
-repeated test sessions reuse the shared object.  Publication is atomic
+by a digest of the C source, the interpreter version, the compiler and
+the compile flags, so editing the kernel source, switching interpreters
+or changing a flag rebuilds while repeated test sessions reuse the
+shared object.  Publication is atomic
 (build to a pid-suffixed temp name, then ``os.replace``) so concurrent
 pytest workers racing the first build never import a torn ``.so``.
 This deliberately does *not* route through :mod:`repro.atomicio` — that
@@ -43,6 +44,10 @@ from typing import Optional
 #: Environment override for the build/cache directory (e.g. CI keeping
 #: artefacts on a tmpfs, or tests forcing a cold build).
 BUILD_DIR_ENV_VAR = "REPRO_NATIVE_BUILD_DIR"
+
+#: Compiler flags of every build; part of the artefact digest, so a
+#: changed flag can never load a stale shared object.
+COMPILE_FLAGS = ("-O2", "-fPIC", "-shared")
 
 
 def _default_build_dir() -> str:
@@ -132,6 +137,7 @@ class ExtensionCompiler:
             digest.update(handle.read())
         digest.update(sys.version.encode())
         digest.update((self.compiler() or "").encode())
+        digest.update(" ".join(COMPILE_FLAGS).encode())
         return os.path.join(root, f"{self.module_name}-{digest.hexdigest()[:16]}")
 
     def artifact_path(self) -> str:
@@ -159,9 +165,7 @@ class ExtensionCompiler:
         temp = f"{artifact}.tmp-{os.getpid()}"
         command = [
             self.compiler(),
-            "-O2",
-            "-fPIC",
-            "-shared",
+            *COMPILE_FLAGS,
             f"-I{self.include_dir()}",
             self.source_path,
             "-o",

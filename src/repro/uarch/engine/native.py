@@ -31,7 +31,9 @@ that, the engine never enters cache fingerprints — a grid cached under
 The C toolchain is optional (the ``native`` install extra): this module
 imports with or without it, and selecting the native engine on a host
 without a compiler raises :class:`NativeUnavailableError` naming the
-extra — never a raw build error from callsite depth.
+extra — never a raw build error from callsite depth.  An unpinned run
+(no ``engine=``, no ``REPRO_REPLAY_KERNEL``) uses this kernel when it
+loads and falls back to scalar when it does not.
 """
 
 from __future__ import annotations
@@ -40,11 +42,7 @@ import os
 from typing import Optional
 
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.engine.base import (
-    EngineUnavailableError,
-    ReplayEngine,
-    register_engine,
-)
+from repro.uarch.engine.base import ReplayEngine, register_engine
 from repro.uarch.engine.build import ExtensionCompiler
 from repro.uarch.issue_queue import BankedIssueQueue
 from repro.uarch.rob import ReorderBuffer
@@ -63,7 +61,7 @@ from repro.uarch.trace import (
 )
 
 
-class NativeUnavailableError(EngineUnavailableError):
+class NativeUnavailableError(RuntimeError):
     """The native kernel was selected but cannot be built on this host."""
 
 
@@ -75,6 +73,11 @@ _COMPILER = ExtensionCompiler(
 )
 
 _MODULE = None
+
+#: Why the first load failed, memoised like ``_MODULE``: a host whose
+#: compile fails pays for one failing build per process, not one per
+#: unpinned ``simulate()``.
+_FAILURE: Optional[str] = None
 
 
 def native_available() -> bool:
@@ -92,22 +95,23 @@ def load_native_module():
 
     Raises :class:`NativeUnavailableError` naming the ``native`` extra
     for *any* failure — missing compiler, missing ``Python.h``, or a
-    compile error — so a worker that probes the kernel can degrade on
-    one exception type.
+    compile error — so the default kernel rule can fall back to scalar
+    on one exception type.  A failure is memoised for the process.
     """
-    global _MODULE
+    global _MODULE, _FAILURE
     if _MODULE is None:
-        reason = _COMPILER.unavailable_reason()
-        if reason is None:
-            try:
-                _MODULE = _COMPILER.load()
-            except (RuntimeError, OSError, ImportError) as error:
-                reason = str(error)
+        if _FAILURE is None:
+            _FAILURE = _COMPILER.unavailable_reason()
+            if _FAILURE is None:
+                try:
+                    _MODULE = _COMPILER.load()
+                except (RuntimeError, OSError, ImportError) as error:
+                    _FAILURE = str(error)
         if _MODULE is None:
             raise NativeUnavailableError(
                 "the native replay engine needs a C toolchain (a C compiler "
                 "and the Python development headers) to build its kernel: "
-                f"{reason}; install the 'native' extra (pip install "
+                f"{_FAILURE}; install the 'native' extra (pip install "
                 "repro-hpca2005[native]) on a host with cc/gcc available, "
                 "or select the scalar engine"
             )

@@ -350,13 +350,21 @@ def test_exception_hygiene_suppressible_with_justified_pragma():
 # Rule 6: optional-deps (whole tree)
 # ----------------------------------------------------------------------
 def test_optional_deps_fires_on_unguarded_top_level_numpy():
-    result = lint_snippet("import numpy as np\n", "repro/harness/mod.py")
-    assert rule_ids(result.findings) == {"optional-deps"}
-    result = lint_snippet("from numpy import zeros\n", "repro/harness/mod.py")
-    assert rule_ids(result.findings) == {"optional-deps"}
+    """numpy has no home: no kernel needs it, so even the module that
+    once hosted the removed numpy kernel may not import it unguarded."""
+    for path in (
+        "repro/harness/mod.py",
+        "repro/uarch/engine/columnar.py",
+        "repro/uarch/engine/native.py",
+        "repro/uarch/engine/scalar.py",
+    ):
+        for snippet in ("import numpy as np\n", "from numpy import zeros\n"):
+            result = lint_snippet(snippet, path)
+            assert rule_ids(result.findings) == {"optional-deps"}, path
+            assert "no module may import it" in result.findings[0].message
 
 
-def test_optional_deps_silent_when_guarded_deferred_or_in_columnar():
+def test_optional_deps_silent_when_guarded_or_deferred():
     guarded = """
     try:
         import numpy as np
@@ -368,23 +376,17 @@ def test_optional_deps_silent_when_guarded_deferred_or_in_columnar():
         return numpy
     """
     assert lint_snippet(guarded, "repro/harness/mod.py").findings == []
-    assert (
-        lint_snippet(
-            "import numpy\n", "repro/uarch/engine/columnar.py"
-        ).findings
-        == []
-    )
 
 
 def test_optional_deps_fires_on_compiled_backend_imports_outside_native():
     """The compiled kernel's artefacts (the built extension module, or a
     numba/Cython toolchain) are scoped to engine/native.py + its build
-    helper, exactly as numpy is scoped to columnar.py."""
+    helper."""
     for module in ("_native_replay", "numba", "Cython", "pyximport"):
         result = lint_snippet(f"import {module}\n", "repro/harness/mod.py")
         assert rule_ids(result.findings) == {"optional-deps"}, module
     result = lint_snippet(
-        "from numba import njit\n", "repro/uarch/engine/columnar.py"
+        "from numba import njit\n", "repro/uarch/engine/scalar.py"
     )
     assert rule_ids(result.findings) == {"optional-deps"}  # wrong home
 

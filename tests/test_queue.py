@@ -375,6 +375,71 @@ class TestWorkerLoop:
         assert worker.run() == 1
         assert queue.status()["pending"] == 1
 
+    def test_unpinned_job_runs_under_the_default_rule_as_a_pure_cache_hit(
+        self, tmp_path, monkeypatch
+    ):
+        """An unpinned job (``engine=None``) replays under the default
+        kernel rule to the scalar reference's statistics, byte for byte,
+        under the same fingerprint — engines are transport, so the
+        scalar-run cache entry is a pure hit for it and vice versa."""
+        from repro.harness.cache import ResultCache, stats_from_dict
+        from repro.harness.parallel import execute_job
+        from repro.uarch.engine import ENGINE_ENV_VAR
+
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        job = _job()
+        scalar_job = dataclasses.replace(job, engine="scalar")
+        scalar_payload = execute_job(scalar_job)
+        fingerprint = job.fingerprint()
+        assert fingerprint == scalar_job.fingerprint()
+        cache = ResultCache(tmp_path)
+        cache.store(
+            fingerprint,
+            stats_from_dict(scalar_payload["stats"]),
+            benchmark=job.benchmark,
+            technique=job.technique,
+        )
+
+        queue = WorkQueue(tmp_path, ttl=30)
+        queue.enqueue(job)
+        worker = QueueWorker(queue, worker_id="w1", max_jobs=1, poll_interval=0.01)
+        assert worker.run() == 1
+
+        marker = queue.done_marker(fingerprint)
+        assert marker is not None
+        assert json.dumps(marker["payload"]["stats"], sort_keys=True) == json.dumps(
+            scalar_payload["stats"], sort_keys=True
+        )
+        hits_before = cache.hits
+        loaded = cache.load(fingerprint)
+        assert loaded is not None
+        assert dataclasses.asdict(loaded) == scalar_payload["stats"]
+        assert cache.hits == hits_before + 1  # a pure hit, not a re-store
+
+    def test_worker_without_a_toolchain_runs_unpinned_jobs_on_scalar(
+        self, tmp_path, monkeypatch
+    ):
+        """A host where the native kernel cannot build keeps serving:
+        unpinned jobs fall back to scalar instead of failing."""
+        from repro.uarch.engine import ENGINE_ENV_VAR
+        from repro.uarch.engine import native as native_module
+
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        monkeypatch.setattr(native_module, "_MODULE", None)
+        monkeypatch.setattr(native_module, "_FAILURE", None)
+        monkeypatch.setattr(
+            native_module._COMPILER,
+            "unavailable_reason",
+            lambda: "no C compiler (cc/gcc/$CC) on PATH",
+        )
+        queue = WorkQueue(tmp_path, ttl=30)
+        queue.enqueue(_job())
+        worker = QueueWorker(queue, worker_id="w1", max_jobs=1, poll_interval=0.01)
+        assert worker.run() == 1
+        assert worker.jobs_failed == 0
+        marker = queue.done_marker(_job().fingerprint())
+        assert marker is not None and marker["payload"]["stats"]["cycles"] > 0
+
 
 class TestBatchedClaims:
     """One pending-directory listing backs up to k atomic renames."""
@@ -764,8 +829,6 @@ class TestHostStats:
             "jobs_done": 3,
             "jobs_failed": 0,
             "gc_sweeps": 0,
-            "probes": {},
-            "preferred_engines": [],
         }
         assert stats["hosts"]["beta"]["workers"] == 1
         # Pre-host-tag files aggregate under the unknown-host bucket.
