@@ -24,6 +24,7 @@ core; re-runs with unchanged configuration load from the cache instead.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,25 @@ import pytest
 from repro.harness import ParallelSuiteRunner, RunConfig
 
 CACHE_DIR = Path(__file__).parent / ".figure-cache"
+#: The committed perf history the perf benches gate against.
+TRAJECTORY_FILE = Path(__file__).with_name("BENCH_trace.json")
+
+
+@pytest.fixture(scope="session")
+def bench_trajectory(request, tmp_path_factory) -> Path:
+    """The trajectory file the perf benches append to and gate against.
+
+    With ``--record-bench`` it is the tracked ``BENCH_trace.json``.
+    Otherwise it is a session-scoped copy of the committed trajectory:
+    every fresh sample is still gated against the committed history plus
+    the session's own earlier samples, but no tracked file is written.
+    """
+    if request.config.getoption("--record-bench"):
+        return TRAJECTORY_FILE
+    session_copy = tmp_path_factory.mktemp("bench-trajectory") / TRAJECTORY_FILE.name
+    if TRAJECTORY_FILE.exists():
+        shutil.copyfile(TRAJECTORY_FILE, session_copy)
+    return session_copy
 
 
 @pytest.fixture(scope="session")

@@ -37,7 +37,7 @@ from repro.uarch.config import ProcessorConfig
 from repro.uarch.engine import native_available
 from repro.workloads import build_benchmark
 
-from test_perf_simulator import TRAJECTORY_FILE, _record_trajectory
+from test_perf_simulator import _record_trajectory
 
 MAX_INSTRUCTIONS = 12_000
 
@@ -129,7 +129,7 @@ def _warm_rate(engine: str, config: ProcessorConfig) -> tuple[int, float]:
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-def test_kernel_crossover(config_name):
+def test_kernel_crossover(config_name, bench_trajectory):
     config = CONFIGS[config_name]
     config.validate()
 
@@ -151,7 +151,8 @@ def test_kernel_crossover(config_name):
                 "issue_width": config.issue_width,
                 "cycles": cycles,
                 "cycles_per_second": round(rate),
-            }
+            },
+            bench_trajectory,
         )
 
     # Cheap cross-kernel identity check on the wide configs: every
@@ -172,7 +173,7 @@ def test_kernel_crossover(config_name):
     # the noise band of its own history (too-short histories pass).
     for engine in ENGINES:
         series_key = f"crossover/{config_name}/{engine}"
-        evaluation = trend.gate_series(series_key, TRAJECTORY_FILE)
+        evaluation = trend.gate_series(series_key, bench_trajectory)
         assert evaluation is None or evaluation["regressed"] is not True, (
             f"perf trajectory regression on {series_key}: "
             f"latest {evaluation['latest']:,.1f} vs median "

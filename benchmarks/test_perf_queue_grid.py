@@ -34,7 +34,7 @@ from repro.harness.faults import active_injector
 
 from repro.telemetry import trend
 
-from test_perf_simulator import TRAJECTORY_FILE, _record_trajectory
+from test_perf_simulator import _record_trajectory
 
 GRID_CONFIG = RunConfig(
     benchmarks=("gzip", "mcf"),
@@ -46,7 +46,7 @@ QUEUE_WORKERS = 2
 
 
 @pytest.mark.parametrize("injection", ["disabled"])
-def test_queue_grid_wall_clock(benchmark, tmp_path, injection):
+def test_queue_grid_wall_clock(benchmark, tmp_path, injection, bench_trajectory):
     # The hooks must be dormant: the floor below is only meaningful as a
     # zero-overhead guarantee if nothing is injecting during the run.
     assert active_injector() is None, "fault injector active in a perf run"
@@ -91,7 +91,8 @@ def test_queue_grid_wall_clock(benchmark, tmp_path, injection):
             "injection": injection,
             "queue_seconds": round(queue_elapsed, 2),
             "local_seconds": round(local_elapsed, 2),
-        }
+        },
+        bench_trajectory,
     )
     print(
         f"\n  {cells}-cell grid: {queue_elapsed:.1f}s over the queue with "
@@ -105,7 +106,7 @@ def test_queue_grid_wall_clock(benchmark, tmp_path, injection):
 
     # Perf-trajectory gate (PR 9): the wall clock just recorded must sit
     # inside the MAD noise band of the queue grid's own history.
-    evaluation = trend.gate_series("queue_grid/seconds", TRAJECTORY_FILE)
+    evaluation = trend.gate_series("queue_grid/seconds", bench_trajectory)
     assert evaluation is None or evaluation["regressed"] is not True, (
         f"perf trajectory regression on queue_grid/seconds: "
         f"latest {evaluation['latest']:,.2f}s vs median "

@@ -22,6 +22,7 @@ import json
 import statistics
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.service.daemon import ExperimentService
 
 from repro.telemetry import trend
 
-from test_perf_simulator import TRAJECTORY_FILE, _record_trajectory
+from test_perf_simulator import _record_trajectory
 
 GRID_CONFIG = RunConfig(
     benchmarks=("gzip", "mcf"),
@@ -48,10 +49,10 @@ CONFIG_OVERRIDES = {
 QUEUE_WORKERS = 2
 
 
-def _queue_grid_baseline() -> float | None:
+def _queue_grid_baseline(trajectory: Path) -> float | None:
     """Median queue_seconds of the recorded sleep-poll-era history."""
     try:
-        history = json.loads(TRAJECTORY_FILE.read_text(encoding="utf-8"))
+        history = json.loads(trajectory.read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):
         return None
     samples = [
@@ -63,7 +64,7 @@ def _queue_grid_baseline() -> float | None:
     return statistics.median(samples) if samples else None
 
 
-def test_service_grid_wall_clock(benchmark, tmp_path):
+def test_service_grid_wall_clock(benchmark, tmp_path, bench_trajectory):
     assert active_injector() is None, "fault injector active in a perf run"
 
     def _service_run() -> float:
@@ -106,7 +107,7 @@ def test_service_grid_wall_clock(benchmark, tmp_path):
     local_elapsed = time.perf_counter() - start
 
     cells = len(GRID_CONFIG.benchmarks) * len(TECHNIQUES)
-    poll_baseline = _queue_grid_baseline()
+    poll_baseline = _queue_grid_baseline(bench_trajectory)
     benchmark.extra_info["cells"] = cells
     benchmark.extra_info["queue_workers"] = QUEUE_WORKERS
     benchmark.extra_info["service_seconds"] = round(service_elapsed, 2)
@@ -123,7 +124,8 @@ def test_service_grid_wall_clock(benchmark, tmp_path):
             "queue_grid_baseline_seconds": (
                 round(poll_baseline, 2) if poll_baseline is not None else None
             ),
-        }
+        },
+        bench_trajectory,
     )
     print(
         f"\n  {cells}-cell grid: {service_elapsed:.1f}s through the service "
@@ -144,7 +146,7 @@ def test_service_grid_wall_clock(benchmark, tmp_path):
 
     # Perf-trajectory gate (PR 9): the wall clock just recorded must sit
     # inside the MAD noise band of the service grid's own history.
-    evaluation = trend.gate_series("service_grid/seconds", TRAJECTORY_FILE)
+    evaluation = trend.gate_series("service_grid/seconds", bench_trajectory)
     assert evaluation is None or evaluation["regressed"] is not True, (
         f"perf trajectory regression on service_grid/seconds: "
         f"latest {evaluation['latest']:,.2f}s vs median "

@@ -44,10 +44,13 @@ Reference points on the development machine (1-core container):
 The assertions below are loose floors (about half the measured cold
 rate per kernel) so the bench fails only on a genuine hot-path
 regression, not on machine noise.  The scalar floor stays at the
-≥29k cycles/s the earlier PRs established.  Each run appends both
-rates for each engine to ``BENCH_trace.json`` next to this file,
-giving later PRs a machine-readable perf history.  The machine-width
-cross-over study lives in ``test_perf_crossover.py``.
+≥29k cycles/s the earlier PRs established.  Under ``pytest
+--record-bench`` each run appends both rates for each engine to
+``BENCH_trace.json`` next to this file, giving later PRs a
+machine-readable perf history; otherwise they go to a session-scoped
+copy of it (the ``bench_trajectory`` fixture), so a plain run writes no
+tracked file.  The machine-width cross-over study lives in
+``test_perf_crossover.py``.
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ ENGINES = (
     + (("native",) if native_available() else ())
 )
 
-TRAJECTORY_FILE = Path(__file__).with_name("BENCH_trace.json")
 TRAJECTORY_LIMIT = 200
 #: Schema version of trajectory entries stamped since PR 9; older
 #: unstamped entries still parse (``repro.telemetry.trend`` defaults
@@ -99,8 +101,11 @@ TRAJECTORY_LIMIT = 200
 TRAJECTORY_FORMAT = 1
 
 
-def _record_trajectory(entry: dict) -> None:
-    """Append ``entry`` to the BENCH_trace.json perf history (bounded).
+def _record_trajectory(entry: dict, trajectory: Path) -> None:
+    """Append ``entry`` to the ``trajectory`` perf history (bounded).
+
+    ``trajectory`` is the ``bench_trajectory`` fixture: the tracked
+    ``BENCH_trace.json`` under ``--record-bench``, else a session copy.
 
     Every entry is stamped with the schema ``format``, the recording
     ``host`` and (unless the caller set one) the engine label, so a
@@ -111,13 +116,13 @@ def _record_trajectory(entry: dict) -> None:
     entry.setdefault("engine", resolve_engine_name(None))
     history: list[dict] = []
     try:
-        history = json.loads(TRAJECTORY_FILE.read_text(encoding="utf-8"))
+        history = json.loads(trajectory.read_text(encoding="utf-8"))
         if not isinstance(history, list):
             history = []
     except (FileNotFoundError, json.JSONDecodeError):
         history = []
     history.append(entry)
-    TRAJECTORY_FILE.write_text(
+    trajectory.write_text(
         json.dumps(history[-TRAJECTORY_LIMIT:], indent=2) + "\n", encoding="utf-8"
     )
 
@@ -142,7 +147,7 @@ def _timed_simulate(engine: str, **kwargs) -> tuple[int, float]:
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_simulator_cycle_throughput(benchmark, tmp_path, engine):
+def test_simulator_cycle_throughput(benchmark, tmp_path, engine, bench_trajectory):
     # Warm the generator and module state so the bench isolates the
     # emulate+decode+replay pipeline, and spin the CPU up to steady state
     # (the container throttles hard from idle).
@@ -200,7 +205,8 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine):
             "cycles": cycles,
             "cycles_per_second_cold": round(cold_rate),
             "cycles_per_second_warm": round(warm_rate),
-        }
+        },
+        bench_trajectory,
     )
     print(
         f"\n  [{engine}] simulated {cycles} cycles at {cold_rate:,.0f}/s cold "
@@ -216,7 +222,7 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine):
     # sample just recorded must sit inside the MAD noise band of this
     # engine's own history.  A too-short history gates as None, not fail.
     for series_key in (f"engine/{engine}/cold", f"engine/{engine}/warm"):
-        evaluation = trend.gate_series(series_key, TRAJECTORY_FILE)
+        evaluation = trend.gate_series(series_key, bench_trajectory)
         assert evaluation is None or evaluation["regressed"] is not True, (
             f"perf trajectory regression on {series_key}: "
             f"latest {evaluation['latest']:,.1f} vs median "

@@ -18,6 +18,12 @@ this option (that invariance is itself under test in
 ``tests/test_engines.py``).  Selecting a kernel whose toolchain is
 absent on this host (``--engine native`` without a C compiler) skips
 the session cleanly rather than erroring.
+
+Adds the ``--record-bench`` flag: only then do the perf benches under
+``benchmarks/`` append their samples to the tracked
+``benchmarks/BENCH_trace.json``.  By default they append to, and gate
+against, a session-scoped copy of it, so a plain run writes no tracked
+file.
 """
 
 from __future__ import annotations
@@ -86,6 +92,14 @@ def pytest_addoption(parser) -> None:
         "(env: REPRO_REPLAY_KERNEL; unset means the library default, "
         "native where it builds, else scalar); statistics are "
         "bit-identical between kernels",
+    )
+
+    parser.addoption(
+        "--record-bench",
+        action="store_true",
+        default=False,
+        help="append perf-bench samples to the tracked "
+        "benchmarks/BENCH_trace.json instead of a session-scoped copy",
     )
 
     parser.addoption(

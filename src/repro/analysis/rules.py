@@ -524,6 +524,7 @@ class OptionalDependencyRule(Rule):
     #: backend adds one entry.
     SCOPED_IMPORTS: dict[str, tuple[str, ...]] = {
         "numpy": (),
+        "networkx": (),
         "_native_replay": (
             "repro/uarch/engine/native.py",
             "repro/uarch/engine/build.py",

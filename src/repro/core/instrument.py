@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.core.config import CompilerConfig
 from repro.core.dag_analysis import BlockRequirement
 from repro.isa.encoding import make_hint_noop, tag_instruction
-from repro.isa.program import BasicBlock, Program
+from repro.isa.program import BasicBlock, Procedure, Program
 
 
 #: Encoding modes accepted by :func:`instrument_program`.
@@ -64,6 +64,30 @@ class InstrumentationStats:
     def total_hints(self) -> int:
         """All hints emitted, regardless of encoding."""
         return self.hints_inserted + self.instructions_tagged
+
+
+def _copy_program(program: Program) -> Program:
+    """A copy of ``program`` the instrumenter may edit freely.
+
+    Programs, procedures, blocks and instruction lists are rebuilt and every
+    instruction is shallow-copied, preserving its ``uid``.  The copy
+    shares only immutable values with the original: operand tuples of
+    frozen :class:`~repro.isa.registers.Reg`, opcodes and strings.
+    """
+    copied = Program(name=program.name, entry=program.entry)
+    for name, procedure in program.procedures.items():
+        copied.procedures[name] = Procedure(
+            name=procedure.name,
+            blocks=[
+                BasicBlock(
+                    label=block.label,
+                    instructions=[copy.copy(instr) for instr in block.instructions],
+                )
+                for block in procedure.blocks
+            ],
+            is_library=procedure.is_library,
+        )
+    return copied
 
 
 def _previous_block_value(
@@ -135,6 +159,10 @@ def instrument_program(
 ) -> tuple[Program, InstrumentationStats]:
     """Return an instrumented copy of ``program`` plus emission statistics.
 
+    The copy is structural (see :func:`_copy_program`): new program,
+    procedure, block and instruction objects with the original ``uid``s,
+    so tagging or inserting hints never reaches ``program``.
+
     Args:
         program: the original program; never modified.
         requirements: mapping from (procedure, block label) to the block's
@@ -150,7 +178,7 @@ def instrument_program(
     if mode not in ALL_MODES:
         raise ValueError(f"unknown instrumentation mode {mode!r}")
 
-    instrumented = copy.deepcopy(program)
+    instrumented = _copy_program(program)
     stats = InstrumentationStats()
     use_tags = mode in TAG_MODES
     preheader_hints = dict(preheader_hints or {})

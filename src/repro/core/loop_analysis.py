@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import networkx as nx
-
 from repro.cfg.ddg import DataDependenceGraph, build_ddg
 from repro.core.config import CompilerConfig
 from repro.core.dag_analysis import BlockRequirement
@@ -75,21 +73,77 @@ class LoopRequirement:
         )
 
 
+#: One dependence edge as the cycle tests read it:
+#: ``(src, dst, latency, distance)``, with the producer's latency resolved.
+WeightedEdge = tuple[int, int, int, int]
+
+
+def _weighted_edges(
+    ddg: DataDependenceGraph, config: CompilerConfig
+) -> list[WeightedEdge]:
+    """Every DDG edge with its producer latency resolved once, in edge order."""
+    latencies = [config.instruction_latency(instr) for instr in ddg.instructions]
+    return [
+        (edge.src, edge.dst, latencies[edge.src], edge.distance) for edge in ddg.edges
+    ]
+
+
 def _recurrence_nodes(ddg: DataDependenceGraph, config: CompilerConfig) -> list[int]:
     """Nodes that participate in some dependence recurrence (the CDS candidates).
 
     A node is part of a recurrence when it belongs to a strongly connected
     component of the dependence graph (with loop-carried edges included)
-    that contains at least one carried edge.
+    that contains at least one carried edge.  Components come from an
+    iterative Tarjan walk, so deep dependence chains cannot overflow the
+    interpreter stack.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(ddg.instructions)))
+    count = len(ddg.instructions)
+    successors: list[list[int]] = [[] for _ in range(count)]
     for edge in ddg.edges:
-        graph.add_edge(edge.src, edge.dst)
+        successors[edge.src].append(edge.dst)
+
+    index_of = [-1] * count
+    lowlink = [0] * count
+    on_stack = [False] * count
+    stack: list[int] = []
+    components: list[list[int]] = []
+    next_index = 0
+    for root in range(count):
+        if index_of[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, child = work.pop()
+            if child == 0:
+                index_of[node] = lowlink[node] = next_index
+                next_index += 1
+                stack.append(node)
+                on_stack[node] = True
+            if child < len(successors[node]):
+                work.append((node, child + 1))
+                succ = successors[node][child]
+                if index_of[succ] < 0:
+                    work.append((succ, 0))
+                elif on_stack[succ]:
+                    lowlink[node] = min(lowlink[node], index_of[succ])
+                continue
+            if lowlink[node] == index_of[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(component)
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+
     recurrence: list[int] = []
-    for component in nx.strongly_connected_components(graph):
+    for component in components:
         if len(component) == 1:
-            node = next(iter(component))
+            node = component[0]
             has_self_carried = any(
                 edge.src == node and edge.dst == node and edge.distance >= 1
                 for edge in ddg.succs[node]
@@ -100,22 +154,24 @@ def _recurrence_nodes(ddg: DataDependenceGraph, config: CompilerConfig) -> list[
     return sorted(recurrence)
 
 
-def _has_positive_cycle(ddg: DataDependenceGraph, config: CompilerConfig, ii: float) -> bool:
+def _has_positive_cycle(count: int, edges: Sequence[WeightedEdge], ii: float) -> bool:
     """True when some dependence cycle has positive slack at initiation interval ``ii``.
 
-    Edge weight is ``latency - distance * ii``; a positive-weight cycle means
-    ``ii`` is too small to sustain the recurrence.
+    ``edges`` are the ``(src, dst, latency, distance)`` tuples of
+    :func:`_weighted_edges` over a graph of ``count`` nodes, resolved once
+    by the caller and shared by every probe.  Edge weight is
+    ``latency - distance * ii``, computed once per probe; a positive-weight
+    cycle means ``ii`` is too small to sustain the recurrence.  Relaxation
+    runs over the edges in DDG order for at most ``count`` rounds.
     """
-    count = len(ddg.instructions)
+    weighted = [(src, dst, latency - distance * ii) for src, dst, latency, distance in edges]
     distance = [0.0] * count
     for _ in range(count):
         changed = False
-        for edge in ddg.edges:
-            latency = config.instruction_latency(ddg.instructions[edge.src])
-            weight = latency - edge.distance * ii
-            candidate = distance[edge.src] + weight
-            if candidate > distance[edge.dst] + 1e-9:
-                distance[edge.dst] = candidate
+        for src, dst, weight in weighted:
+            candidate = distance[src] + weight
+            if candidate > distance[dst] + 1e-9:
+                distance[dst] = candidate
                 changed = True
         if not changed:
             return False
@@ -127,22 +183,26 @@ def _recurrence_initiation_interval(
 ) -> float:
     """Maximum cycle ratio (latency per iteration distance) of the dependence graph.
 
-    Computed by binary search on the candidate initiation interval with a
-    positive-cycle test, which is robust for arbitrary dependence graphs
-    (enumerating simple cycles can blow up combinatorially).
+    Computed by a 40-step binary search on the candidate initiation
+    interval with a positive-cycle test, which is robust for arbitrary
+    dependence graphs (enumerating simple cycles can blow up
+    combinatorially).  The edge latencies are resolved once here and
+    shared by every probe of the search.
     Returns 0.0 when no recurrence exists.
     """
     if not any(edge.distance >= 1 for edge in ddg.edges):
         return 0.0
+    count = len(ddg.instructions)
+    edges = _weighted_edges(ddg, config)
     upper = float(
         sum(config.instruction_latency(instr) for instr in ddg.instructions)
     )
-    if not _has_positive_cycle(ddg, config, 0.0):
+    if not _has_positive_cycle(count, edges, 0.0):
         return 0.0
     low, high = 0.0, upper
     for _ in range(40):
         mid = (low + high) / 2.0
-        if _has_positive_cycle(ddg, config, mid):
+        if _has_positive_cycle(count, edges, mid):
             low = mid
         else:
             high = mid
@@ -185,6 +245,10 @@ def _steady_state_times(
     relaxation converges (with the critical cycle summing to zero).
     """
     count = len(ddg.instructions)
+    weighted = [
+        (src, dst, latency - distance * initiation_interval)
+        for src, dst, latency, distance in _weighted_edges(ddg, config)
+    ]
     times = [0.0] * count
     times[representative] = 0.0
     # |V| rounds of relaxation suffice because non-critical cycles have
@@ -192,12 +256,10 @@ def _steady_state_times(
     # floating-point ties.
     for _ in range(count + 2):
         changed = False
-        for edge in ddg.edges:
-            latency = config.instruction_latency(ddg.instructions[edge.src])
-            weight = latency - edge.distance * initiation_interval
-            candidate = times[edge.src] + weight
-            if candidate > times[edge.dst] + 1e-9:
-                times[edge.dst] = candidate
+        for src, dst, weight in weighted:
+            candidate = times[src] + weight
+            if candidate > times[dst] + 1e-9:
+                times[dst] = candidate
                 changed = True
         if not changed:
             break

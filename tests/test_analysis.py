@@ -364,6 +364,14 @@ def test_optional_deps_fires_on_unguarded_top_level_numpy():
             assert "no module may import it" in result.findings[0].message
 
 
+def test_optional_deps_fires_on_unguarded_top_level_networkx():
+    """networkx has no home: the loop analysis's SCC walk is stdlib."""
+    for snippet in ("import networkx as nx\n", "from networkx import DiGraph\n"):
+        result = lint_snippet(snippet, "repro/core/loop_analysis.py")
+        assert rule_ids(result.findings) == {"optional-deps"}
+        assert "no module may import it" in result.findings[0].message
+
+
 def test_optional_deps_silent_when_guarded_or_deferred():
     guarded = """
     try:

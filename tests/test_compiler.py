@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core import CompilerConfig, compile_program
 from repro.core.dag_analysis import PathSummary, analyse_block, analyse_dag_region
@@ -19,6 +27,9 @@ from repro.cfg import build_cfg, find_dag_regions, find_natural_loops
 from repro.isa import Instruction, Opcode
 from repro.isa.opcodes import FuClass
 from repro.isa.registers import int_reg as r
+from repro.uarch.trace import program_digest
+from repro.workloads import build_benchmark
+from repro.workloads.specint import SPECINT_BENCHMARKS
 from tests.conftest import make_call_program, make_counted_loop_program
 
 
@@ -177,6 +188,32 @@ class TestInstrumentation:
         assert stats.hints_inserted == 0
         assert result.instrumented_program.count_opcode(Opcode.HINT) == 0
 
+    def test_instrumented_copy_shares_no_mutable_object(self, call_program):
+        result = compile_program(call_program, CompilerConfig(), mode="extension")
+        assert result.instrumentation.instructions_tagged > 0
+        copied = result.instrumented_program
+        assert copied is not call_program
+        assert list(copied.procedures) == list(call_program.procedures)
+        for name, original in call_program.procedures.items():
+            procedure = copied.procedures[name]
+            assert procedure is not original
+            assert len(procedure.blocks) == len(original.blocks)
+            for block, original_block in zip(procedure.blocks, original.blocks):
+                assert block is not original_block
+                assert block.instructions is not original_block.instructions
+                assert [i.uid for i in block.instructions] == [
+                    i.uid for i in original_block.instructions
+                ]
+                for instr, original_instr in zip(
+                    block.instructions, original_block.instructions
+                ):
+                    assert instr is not original_instr
+        assert all(
+            instr.iq_tag is None
+            for procedure in call_program.procedures.values()
+            for instr in procedure.instructions()
+        )
+
     def test_original_program_is_untouched(self, counted_loop_program):
         before = counted_loop_program.num_instructions
         compile_program(counted_loop_program, CompilerConfig(), mode="noop")
@@ -286,3 +323,191 @@ class TestCompileTimeReport:
         assert report.limited_seconds > 0
         assert report.hints_emitted > 0
         assert report.num_blocks == counted_loop_program.num_basic_blocks
+
+
+def test_import_repro_core_leaves_networkx_unloaded():
+    """The compiler pass is stdlib-only at runtime, not just by lint."""
+    src_root = Path(next(iter(repro.__path__))).parent
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.core; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src_root)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def _requirements_digest(result) -> str:
+    """SHA-256 over every block requirement and loop analysis result."""
+    digest = hashlib.sha256()
+    for key in sorted(result.block_requirements):
+        requirement = result.block_requirements[key]
+        digest.update(
+            repr(
+                (key, requirement.entries, requirement.raw_entries, requirement.source)
+            ).encode()
+        )
+    for loop in result.loop_requirements:
+        digest.update(
+            repr(
+                (
+                    loop.procedure,
+                    loop.header,
+                    loop.entries,
+                    loop.raw_entries,
+                    loop.initiation_interval.hex(),
+                    loop.iteration_offsets,
+                )
+            ).encode()
+        )
+    return digest.hexdigest()
+
+
+#: (benchmark, mode) -> (program_digest of the instrumented program,
+#: _requirements_digest of the analysis).  Any change to the compiler's
+#: output, down to the last bit of an initiation interval, changes one
+#: of these and must be re-pinned on purpose.
+GOLDEN_COMPILES = {
+    ("gzip", "noop"): (
+        "92eb22b956cdc12b3a4b8296f4efe00978130ff1df872bc4e248b8d647bde5e5",
+        "131c3d8612bfb1fda654164e46d04f415e9bab027e1c530ef1a86a95f4c47cbf",
+    ),
+    ("gzip", "extension"): (
+        "4434334a612cbbc72d3fe5ae2375244a9a2618486253d5bf3dbedc18b017bfed",
+        "131c3d8612bfb1fda654164e46d04f415e9bab027e1c530ef1a86a95f4c47cbf",
+    ),
+    ("gzip", "improved"): (
+        "a037f1a47a7ffa7acf91e703b5a0c8b97ea52d27d896885e38191016284c7619",
+        "aaa35ba269a197426dbb484f2a1b02c9b1dd6f4c0bc26cb11d099d1073b4258e",
+    ),
+    ("vpr", "noop"): (
+        "20420689c91e068b7b9851708877b34b19b7e39788b1137b094e8d4aa1fe4a14",
+        "badae147d092006ea37962d9e285c368bcebecd952b7afe3d02cea4ab3ac9c4a",
+    ),
+    ("vpr", "extension"): (
+        "5bfc0a277a6df1689531d670f36649c48ef6ded3578a3e26442d5a8f59c626fa",
+        "badae147d092006ea37962d9e285c368bcebecd952b7afe3d02cea4ab3ac9c4a",
+    ),
+    ("vpr", "improved"): (
+        "d8ecdee0bfa6639a193386c6f47c63997dca11bf1a50ce72cf87668b009d4d78",
+        "22fd82ab45f94bc40f5560714a25641b7375ac2d6cd65d8d59b30d91b9982224",
+    ),
+    ("gcc", "noop"): (
+        "24a1e101c4304a006f7ad955a72b2545e78f710de37ceaaf7bcaf824ed322089",
+        "c0f1eedc0c6c6d9ef4e299041203cfbdc683943a3facf87744f91658017c2176",
+    ),
+    ("gcc", "extension"): (
+        "d5a58df373c7a733e5592fda3cb2cfe1f50ca4783a74c379f79b5bf24debc2c7",
+        "c0f1eedc0c6c6d9ef4e299041203cfbdc683943a3facf87744f91658017c2176",
+    ),
+    ("gcc", "improved"): (
+        "eb63964c33088d736fd93c01d28ac29c965c67d9cf15f1a0f53315678576f94e",
+        "9a75b24cf88f5a634b7508924d5f5d8090d710da2c1149cf7ed0804577f1d3bd",
+    ),
+    ("mcf", "noop"): (
+        "07e63cf13e73f9d4d5ad8f88fb783c3b406dcce908093620ab9265e6a7a0aaa8",
+        "bcb715650ce73aabc4e6b92b965d89e2013f3999b6bf95a5cb94556753a7c579",
+    ),
+    ("mcf", "extension"): (
+        "453f884a50fa5321bc80b8f5f3bff3f8f758c981e40e3b1d86283916ced69fe5",
+        "bcb715650ce73aabc4e6b92b965d89e2013f3999b6bf95a5cb94556753a7c579",
+    ),
+    ("mcf", "improved"): (
+        "bd7a5537d8d65ffd2dcda105c4ccf3ba1dbe691a78e13ec48610ace17025753b",
+        "1d6dcc12c718cbaccda70063d9739e404b3e6ac1d56c74eea6c6ef21b33115c6",
+    ),
+    ("crafty", "noop"): (
+        "f65a41205406fffb0a8954b82decacd5becd82d38d11adc34fafd3c9744825ed",
+        "10686ae05a4fb4d215e06ff38ad6bac64838c2d02141746776edff8e3463daae",
+    ),
+    ("crafty", "extension"): (
+        "cd86e0747b50c2a23f321b34f60d0e97b29a93c467706514a08d5073f7180413",
+        "10686ae05a4fb4d215e06ff38ad6bac64838c2d02141746776edff8e3463daae",
+    ),
+    ("crafty", "improved"): (
+        "cbeb24f61a4e64054752443e50e2eefe410211c06019a5d1abade09d6008151a",
+        "2107d2d3e42c9277dd934f22c4b7847a0369b53dd1d8d47007a629575466f19c",
+    ),
+    ("parser", "noop"): (
+        "743cc401d1c804ac39caf6c6c2d13bea8af64cc8a26916dc034f7ee453d62bab",
+        "fb936f04261ea5f37fc18ea9885bdd5c24a45321fddfdee24f305d4f44687bb2",
+    ),
+    ("parser", "extension"): (
+        "77688a654e538e528011295f038e7e9bc883cb0f3cf18416160cc1523ea4a557",
+        "fb936f04261ea5f37fc18ea9885bdd5c24a45321fddfdee24f305d4f44687bb2",
+    ),
+    ("parser", "improved"): (
+        "54c89ce9d382f9a90a765136079b0557d73971adbc891b2a4117ee496bc8dcfe",
+        "d690620cdcd4efd4ad60fc3f2e4629a22991c0c782be6adbd469c6d836c3d69d",
+    ),
+    ("perlbmk", "noop"): (
+        "9d48a3891e0905e7cedfa4128ead5fa1c34aadbcd638e1193903b7f0eb0d8dbe",
+        "ea0a36ca5c6da787ad32eb18281b13da4a2e2bacb19465623a5045f20b7b1d72",
+    ),
+    ("perlbmk", "extension"): (
+        "691be0625d5f47a34d0e14a6719592b1a2d1ca6b4a87235c7d4359b3796d2475",
+        "ea0a36ca5c6da787ad32eb18281b13da4a2e2bacb19465623a5045f20b7b1d72",
+    ),
+    ("perlbmk", "improved"): (
+        "43152e9eea4a5a9edd41fb231ed5307691b923000eda38be9b8078b80042844c",
+        "5bea8b1eae2f75475c420093a1f2944bb58fd3c33a726386c4286e173714345f",
+    ),
+    ("gap", "noop"): (
+        "13e79a1bdf51acfa1a9ac1e8f3f58d939d350ff2abc794b922643cddf276640e",
+        "7f666245f2384500850e12ed76a956cd94fb5f57901d374e8c83e5909990d6e7",
+    ),
+    ("gap", "extension"): (
+        "8cf5c7f02039285585a5f5ccffcf9742a1119e9261f2118800460dce38b79322",
+        "7f666245f2384500850e12ed76a956cd94fb5f57901d374e8c83e5909990d6e7",
+    ),
+    ("gap", "improved"): (
+        "8094b4c1efd958133fc83fd6acfa243a398eb894d35dff2b5db3cb106789d5b8",
+        "2435e74363667719aac7167e4d7b5892fd7328687fb0f2fa91ce1a5f6438bb87",
+    ),
+    ("vortex", "noop"): (
+        "19ce40354c99075fa13e4275fde61f0987a1e64ab8665608c45c3960022d989d",
+        "e9c05970991fb48eb042128e337a10ac31083def734730f217318c7639c78595",
+    ),
+    ("vortex", "extension"): (
+        "d13968365e182dd6b0e6a22c0ce60117fe496cf9938e26445a721223728e1091",
+        "e9c05970991fb48eb042128e337a10ac31083def734730f217318c7639c78595",
+    ),
+    ("vortex", "improved"): (
+        "cf576238bacd476f1fd585a68549158f8f248cd136c6970c16dc8ef9327a8b2b",
+        "d3c8f1c573586acffd078ddf65187da2c61ceb2a862974310f58f379e33a10a4",
+    ),
+    ("bzip2", "noop"): (
+        "25ca98fe518364e9ae13aa5d96ccd0025923644ea424cf12d6e1169f2f1d1d5e",
+        "69dd498c18a84734ac1ccced242ac6fd4910a088eac07cf9eb35ee0d357e28d9",
+    ),
+    ("bzip2", "extension"): (
+        "867a01f05a4d1f7be40aefee81bd47069d04b0cabf4c57d741b61c94c6830863",
+        "69dd498c18a84734ac1ccced242ac6fd4910a088eac07cf9eb35ee0d357e28d9",
+    ),
+    ("bzip2", "improved"): (
+        "817325d39163d9e1b95e227b18b250b960f0cdf5dd3c1a35e6b5f54b043b2acf",
+        "29d5205e7f152e5d430931c8018fb5e4f390c0f2be0e2090189775de8f379738",
+    ),
+    ("twolf", "noop"): (
+        "1e4e45060b21f048850da3a8fdf7f1a730104be04d6e87a45035f61adf9e191a",
+        "36a7b2fe82e06c97668ce519d1c4715bb242c7ea882a22b42597f14f48dd4da4",
+    ),
+    ("twolf", "extension"): (
+        "5ed9a0f8ebe2b7c0b21e4ee013eed334be0df69b64998c268f1f2604e53c9a70",
+        "36a7b2fe82e06c97668ce519d1c4715bb242c7ea882a22b42597f14f48dd4da4",
+    ),
+    ("twolf", "improved"): (
+        "9bd68082836136d34c62fb1565237faee8d6dc5b9bf03f222bef4ea863662ff3",
+        "0fafae590438e09bb86ae11e91e37823f979549f650db5dbd56795f35922499c",
+    ),
+}
+
+
+@pytest.mark.parametrize("benchmark_name", SPECINT_BENCHMARKS)
+@pytest.mark.parametrize("mode", ["noop", "extension", "improved"])
+def test_compiled_output_is_pinned(benchmark_name, mode):
+    result = compile_program(build_benchmark(benchmark_name), CompilerConfig(), mode=mode)
+    pinned_program, pinned_requirements = GOLDEN_COMPILES[(benchmark_name, mode)]
+    assert program_digest(result.instrumented_program) == pinned_program
+    assert _requirements_digest(result) == pinned_requirements

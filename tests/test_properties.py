@@ -5,8 +5,9 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cfg import build_ddg
+from repro.cfg.ddg import DataDependenceGraph, DependenceEdge
 from repro.core import CompilerConfig
-from repro.core.loop_analysis import analyse_loop_body
+from repro.core.loop_analysis import _recurrence_nodes, analyse_loop_body
 from repro.core.pseudo_queue import PseudoIssueQueue
 from repro.isa import Instruction, Opcode
 from repro.isa.encoding import HINT_MAX_VALUE, decode_hint_payload, encode_hint_payload
@@ -106,6 +107,62 @@ def test_loop_requirement_is_clamped_and_monotone_in_margin(instructions):
     loose_req = analyse_loop_body(instructions, loose)
     assert tight.min_hint_value <= tight_req.entries <= tight.max_iq_entries
     assert loose_req.entries >= tight_req.entries
+
+
+@st.composite
+def dependence_graphs(draw, max_nodes: int = 8):
+    """Random dependence graphs, including back edges and self loops."""
+    count = draw(st.integers(min_value=1, max_value=max_nodes))
+    node = st.integers(min_value=0, max_value=count - 1)
+    edges = draw(
+        st.lists(
+            st.tuples(node, node, st.integers(min_value=0, max_value=2)),
+            max_size=3 * count,
+        )
+    )
+    ddg = DataDependenceGraph(
+        instructions=[Instruction.alu(Opcode.ADD, int_reg(1), [int_reg(1)]) for _ in range(count)]
+    )
+    for src, dst, distance in edges:
+        ddg.add_edge(DependenceEdge(src=src, dst=dst, latency=1, distance=distance))
+    return ddg
+
+
+def _reference_recurrence_nodes(ddg: DataDependenceGraph) -> list[int]:
+    """Brute force: mutual reachability, plus a carried self edge for singletons."""
+    count = len(ddg.instructions)
+    reach = [[i == j for j in range(count)] for i in range(count)]
+    for edge in ddg.edges:
+        reach[edge.src][edge.dst] = True
+    for via in range(count):
+        for i in range(count):
+            if reach[i][via]:
+                for j in range(count):
+                    if reach[via][j]:
+                        reach[i][j] = True
+    nodes = []
+    for node in range(count):
+        partners = [other for other in range(count) if reach[node][other] and reach[other][node]]
+        self_carried = any(
+            edge.src == node and edge.dst == node and edge.distance >= 1
+            for edge in ddg.edges
+        )
+        if len(partners) > 1 or self_carried:
+            nodes.append(node)
+    return nodes
+
+
+@given(
+    st.one_of(
+        dependence_graphs(),
+        instruction_sequences(max_length=14).map(
+            lambda instructions: build_ddg(instructions, include_loop_carried=True)
+        ),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_recurrence_nodes_match_brute_force(ddg):
+    assert _recurrence_nodes(ddg, CompilerConfig()) == _reference_recurrence_nodes(ddg)
 
 
 # ---------------------------------------------------------------------------
